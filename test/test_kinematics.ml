@@ -125,6 +125,21 @@ let test_chain_base_tool_copied () =
   Alcotest.(check bool) "base copied at construction" true
     (Vec3.approx_equal (Mat4.position (Chain.base c)) (Vec3.make 1. 0. 0.))
 
+(* The fingerprint is stored in DADUPLIB posture libraries and DADUJRNL
+   session journals, so its value for a given chain must never change. *)
+let test_chain_fingerprint_pinned () =
+  List.iter
+    (fun (dof, expected) ->
+      Alcotest.(check int)
+        (Printf.sprintf "eval:%d" dof)
+        expected
+        (Chain.fingerprint (Robots.eval_chain ~dof)))
+    [
+      (12, 3220146773502623081);
+      (30, 3201358522906459403);
+      (100, 2256562390209365953);
+    ]
+
 (* ---- Fk ---- *)
 
 let test_fk_two_link_zero () =
@@ -1433,6 +1448,8 @@ let () =
           Alcotest.test_case "clamp_config" `Quick test_chain_clamp_config;
           Alcotest.test_case "check_config" `Quick test_chain_check_config;
           Alcotest.test_case "base copied" `Quick test_chain_base_tool_copied;
+          Alcotest.test_case "fingerprint pinned" `Quick
+            test_chain_fingerprint_pinned;
         ] );
       ( "fk",
         [
