@@ -491,13 +491,14 @@ let write_replies path replies =
             _;
           } ->
         let theta =
-          String.concat ","
-            (List.map (Printf.sprintf "%.17g") (Array.to_list result.Ik.theta))
+          let b = Buffer.create (24 * Array.length result.Ik.theta) in
+          Dadu_util.Json.add_floats b result.Ik.theta;
+          Buffer.contents b
         in
         Printf.fprintf oc
           "{\"index\":%d,\"reply\":\"solved\",\"status\":%S,\"solver\":%S,\"iterations\":%d,\"error\":%.17g,\"fallbacks\":%d,\"retries\":%d,\"cache_hit\":%b,\"deadline_exceeded\":%b,\"theta\":[%s]}\n"
           i
-          (Format.asprintf "%a" Ik.pp_status result.Ik.status)
+          (Ik.status_name result.Ik.status)
           (Fallback.name solver) result.Ik.iterations result.Ik.error fallbacks
           retries cache_hit deadline_exceeded theta)
     replies

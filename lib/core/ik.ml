@@ -66,11 +66,13 @@ let work r = r.speculations * r.iterations
 
 let error_of chain target theta = Vec3.dist target (Fk.position chain theta)
 
-let pp_status ppf = function
-  | Converged -> Format.pp_print_string ppf "converged"
-  | Max_iterations -> Format.pp_print_string ppf "max-iterations"
-  | Stalled -> Format.pp_print_string ppf "stalled"
-  | Diverged -> Format.pp_print_string ppf "diverged"
+let status_name = function
+  | Converged -> "converged"
+  | Max_iterations -> "max-iterations"
+  | Stalled -> "stalled"
+  | Diverged -> "diverged"
+
+let pp_status ppf s = Format.pp_print_string ppf (status_name s)
 
 let pp_result ppf r =
   Format.fprintf ppf "%a in %d iters (err %.3g, %d specs)" pp_status r.status

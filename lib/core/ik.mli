@@ -95,6 +95,10 @@ val work : result -> int
 val error_of : Chain.t -> Vec3.t -> Vec.t -> float
 (** [‖target − f(θ)‖]. *)
 
+val status_name : status -> string
+(** The status as the wire and the reply dumps spell it (["converged"],
+    ["max-iterations"], ["stalled"], ["diverged"]). *)
+
 val pp_status : Format.formatter -> status -> unit
 
 val pp_result : Format.formatter -> result -> unit

@@ -7,6 +7,7 @@ type t = {
   links : link array;
   base : Mat4.t;
   tool : Mat4.t;
+  fp : int; (* [compute_fingerprint], once, at [make] *)
 }
 
 (* The FK kernels compose with the affine fast path (Mat4.mul_affine_into),
@@ -20,11 +21,49 @@ let check_affine what m =
     invalid_arg
       (Printf.sprintf "Chain.make: %s must be affine (bottom row [0 0 0 1])" what)
 
+(* FNV-1a over the raw IEEE-754 bits of everything that affects kinematics:
+   DOF, joint kind and limits, DH parameters, base and tool transforms, each
+   value mixed as 8 little-endian bytes.  The name is deliberately excluded
+   — two chains with identical geometry are the same robot for seeding
+   purposes, whatever they are called.  Posture libraries and session
+   journals store the result, so it must stay bit-for-bit stable. *)
+let fnv_prime = 0x100000001b3L
+
+let[@inline] mix h x =
+  let h = ref h in
+  for shift = 0 to 7 do
+    let byte = Int64.logand (Int64.shift_right_logical x (shift * 8)) 0xffL in
+    h := Int64.mul (Int64.logxor !h byte) fnv_prime
+  done;
+  !h
+
+let compute_fingerprint links base tool =
+  let h = ref (mix 0xcbf29ce484222325L (Int64.of_int (Array.length links))) in
+  for i = 0 to Array.length links - 1 do
+    let { joint; dh; _ } = links.(i) in
+    let kind = match joint.Joint.kind with Joint.Revolute -> 1L | Joint.Prismatic -> 2L in
+    h := mix !h kind;
+    h := mix !h (Int64.bits_of_float joint.Joint.lower);
+    h := mix !h (Int64.bits_of_float joint.Joint.upper);
+    h := mix !h (Int64.bits_of_float dh.Dh.a);
+    h := mix !h (Int64.bits_of_float dh.Dh.alpha);
+    h := mix !h (Int64.bits_of_float dh.Dh.d);
+    h := mix !h (Int64.bits_of_float dh.Dh.theta)
+  done;
+  for i = 0 to Array.length base - 1 do
+    h := mix !h (Int64.bits_of_float base.(i))
+  done;
+  for i = 0 to Array.length tool - 1 do
+    h := mix !h (Int64.bits_of_float tool.(i))
+  done;
+  Int64.to_int !h land max_int
+
 let make ?(name = "chain") ?base ?tool links =
   if Array.length links = 0 then invalid_arg "Chain.make: no links";
   let base = match base with Some b -> check_affine "base" b; Mat4.copy b | None -> Mat4.identity () in
   let tool = match tool with Some t -> check_affine "tool" t; Mat4.copy t | None -> Mat4.identity () in
-  { chain_name = name; links = Array.copy links; base; tool }
+  let links = Array.copy links in
+  { chain_name = name; links; base; tool; fp = compute_fingerprint links base tool }
 
 let name t = t.chain_name
 
@@ -37,6 +76,8 @@ let link t i = t.links.(i)
 let base t = t.base
 
 let tool t = t.tool
+
+let fingerprint t = t.fp
 
 let reach t =
   Array.fold_left
@@ -67,38 +108,6 @@ let config_inside t q =
     i >= dof t || (Joint.inside t.links.(i).joint q.(i) && loop (i + 1))
   in
   loop 0
-
-(* FNV-1a over the raw IEEE-754 bits of everything that affects kinematics:
-   DH parameters, joint kind and limits, base and tool transforms.  The name
-   is deliberately excluded — two chains with identical geometry are the same
-   robot for seeding purposes, whatever they are called. *)
-let fingerprint t =
-  let h = ref 0xcbf29ce484222325L in
-  let prime = 0x100000001b3L in
-  let mix_int64 x =
-    for shift = 0 to 7 do
-      let byte = Int64.to_int (Int64.shift_right_logical x (shift * 8)) land 0xff in
-      h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) prime
-    done
-  in
-  let mix_float x = mix_int64 (Int64.bits_of_float x) in
-  let mix_int i = mix_int64 (Int64.of_int i) in
-  mix_int (dof t);
-  Array.iter
-    (fun { joint; dh; _ } ->
-      (match joint.Joint.kind with
-      | Joint.Revolute -> mix_int 1
-      | Joint.Prismatic -> mix_int 2);
-      mix_float joint.Joint.lower;
-      mix_float joint.Joint.upper;
-      mix_float dh.Dh.a;
-      mix_float dh.Dh.alpha;
-      mix_float dh.Dh.d;
-      mix_float dh.Dh.theta)
-    t.links;
-  Array.iter mix_float t.base;
-  Array.iter mix_float t.tool;
-  Int64.to_int !h land max_int
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>chain %s (%d DOF)" t.chain_name (dof t);

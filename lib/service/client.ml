@@ -38,8 +38,9 @@ let payload_of_op ?seq id = function
       match theta0 with
       | None -> ""
       | Some ts ->
-        Printf.sprintf ",\"theta0\":[%s]"
-          (String.concat "," (List.map (Printf.sprintf "%.17g") ts))
+        let b = Buffer.create (24 * List.length ts) in
+        Json.add_floats b (Array.of_list ts);
+        Printf.sprintf ",\"theta0\":[%s]" (Buffer.contents b)
     in
     let deadline =
       match deadline_s with

@@ -63,6 +63,23 @@ let solver ?(speculations = 64) kind ~config p =
   | Sdls -> Dadu_core.Sdls.solve ~workspace ~config p
   | Ccd -> Dadu_core.Ccd.solve ~workspace ~config p
 
+(* a plain loop: [Array.for_all] would box every element of the float
+   array, and this runs on every reply *)
+let finite (r : Ik.result) =
+  let ok = ref (Float.is_finite r.Ik.error) in
+  let theta = r.Ik.theta in
+  for i = 0 to Array.length theta - 1 do
+    if not (Float.is_finite theta.(i)) then ok := false
+  done;
+  !ok
+
+(* A strict total order on kept attempts: lower error wins, and a result
+   with a non-finite error or θ ranks below every finite one.  A plain
+   [<] on errors is false both ways against NaN, so a poisoned first
+   attempt was never displaced. *)
+let better a b =
+  if finite b then finite a && a.Ik.error < b.Ik.error else finite a
+
 type outcome = {
   result : Ik.result;
   solver : kind;
@@ -153,12 +170,12 @@ let run ?speculations ?time_budget_s ?attempt_hook
       let trail = (kind, r.Ik.status) :: trail in
       if r.Ik.status = Ik.Converged then (r, kind, attempts, trail)
       else begin
-        (* keep the lowest-error attempt; ties go to the earlier solver,
-           and a NaN-error attempt never displaces a finite one *)
+        (* keep the best attempt by [better]: ties go to the earlier
+           solver, and a poisoned attempt never displaces a finite one *)
         let best =
           match best with
           | None -> (r, kind)
-          | Some (b, _) when r.Ik.error < b.Ik.error -> (r, kind)
+          | Some (b, _) when better r b -> (r, kind)
           | Some _ as kept -> Option.get kept
         in
         if rest = [] || out_of_time () then

@@ -41,6 +41,14 @@ val solver : ?speculations:int -> kind -> config:Ik.config -> Ik.problem -> Ik.r
 (** One attempt with one solver.  [speculations] (default 64) applies to
     [Quick_ik] only. *)
 
+val finite : Ik.result -> bool
+(** The error and every joint value are finite. *)
+
+val better : Ik.result -> Ik.result -> bool
+(** [better a b]: [a] should replace a kept [b] — strictly lower error,
+    with any non-finite result ({!finite} false) ranked worst.  Ties keep
+    [b]. *)
+
 type outcome = {
   result : Ik.result;  (** the converged attempt, or the best-error one *)
   solver : kind;  (** solver that produced [result] *)

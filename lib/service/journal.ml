@@ -66,53 +66,72 @@ let fnv1a bytes off len =
   done;
   !h
 
-(* ---- encoding -------------------------------------------------------- *)
+(* ---- encoding --------------------------------------------------------
 
-let encode_record r =
-  let buf = Buffer.create 128 in
-  let put_u8 v = Buffer.add_char buf (Char.chr (v land 0xff)) in
-  let put_u32 v =
-    let b = Bytes.create 4 in
-    Bytes.set_int32_le b 0 (Int32.of_int v);
-    Buffer.add_bytes buf b
+   A framed record is u32 payload length, the payload, and the u64
+   FNV-1a checksum of the payload.  [append] encodes straight into the
+   handle's reusable buffer: the writers return the next offset, so the
+   encoder allocates nothing per field. *)
+
+let payload_size = function
+  | Opened { session; robot; _ } ->
+    1 + 4 + String.length session + 4 + String.length robot + 8 + 4
+  | Committed { session; theta; reply; _ } ->
+    1 + 4 + String.length session + 4 + 1
+    + (match theta with None -> 0 | Some th -> 4 + (8 * Array.length th))
+    + 4 + String.length reply
+  | Closed { session } -> 1 + 4 + String.length session
+
+let put_u8 b pos v =
+  Bytes.set_uint8 b pos (v land 0xff);
+  pos + 1
+
+let put_u32 b pos v =
+  Bytes.set_int32_le b pos (Int32.of_int v);
+  pos + 4
+
+let put_str b pos s =
+  let n = String.length s in
+  let pos = put_u32 b pos n in
+  Bytes.blit_string s 0 b pos n;
+  pos + n
+
+(* Writes the framed record at offset 0 of [b], which must hold
+   [4 + payload_size r + 8] bytes; returns that length. *)
+let encode_into b r =
+  let pos = 4 in
+  let pos =
+    match r with
+    | Opened { session; robot; chain_fp; dof } ->
+      let pos = put_u8 b pos 1 in
+      let pos = put_str b pos session in
+      let pos = put_str b pos robot in
+      Bytes.set_int64_le b pos (Int64.of_int chain_fp);
+      put_u32 b (pos + 8) dof
+    | Committed { session; ordinal; theta; reply } ->
+      let pos = put_u8 b pos 2 in
+      let pos = put_str b pos session in
+      let pos = put_u32 b pos ordinal in
+      let pos =
+        match theta with
+        | None -> put_u8 b pos 0
+        | Some th ->
+          let pos = put_u8 b pos 1 in
+          let pos = put_u32 b pos (Array.length th) in
+          for i = 0 to Array.length th - 1 do
+            Bytes.set_int64_le b (pos + (8 * i)) (Int64.bits_of_float th.(i))
+          done;
+          pos + (8 * Array.length th)
+      in
+      put_str b pos reply
+    | Closed { session } ->
+      let pos = put_u8 b pos 3 in
+      put_str b pos session
   in
-  let put_i64 v =
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 v;
-    Buffer.add_bytes buf b
-  in
-  let put_str s =
-    put_u32 (String.length s);
-    Buffer.add_string buf s
-  in
-  (match r with
-  | Opened { session; robot; chain_fp; dof } ->
-    put_u8 1;
-    put_str session;
-    put_str robot;
-    put_i64 (Int64.of_int chain_fp);
-    put_u32 dof
-  | Committed { session; ordinal; theta; reply } ->
-    put_u8 2;
-    put_str session;
-    put_u32 ordinal;
-    (match theta with
-    | None -> put_u8 0
-    | Some th ->
-      put_u8 1;
-      put_u32 (Array.length th);
-      Array.iter (fun v -> put_i64 (Int64.bits_of_float v)) th);
-    put_str reply
-  | Closed { session } ->
-    put_u8 3;
-    put_str session);
-  let payload = Buffer.contents buf in
-  let n = String.length payload in
-  let out = Bytes.create (4 + n + 8) in
-  Bytes.set_int32_le out 0 (Int32.of_int n);
-  Bytes.blit_string payload 0 out 4 n;
-  Bytes.set_int64_le out (4 + n) (fnv1a out 4 n);
-  out
+  let n = pos - 4 in
+  Bytes.set_int32_le b 0 (Int32.of_int n);
+  Bytes.set_int64_le b pos (fnv1a b 4 n);
+  pos + 8
 
 (* ---- decoding -------------------------------------------------------- *)
 
@@ -236,7 +255,14 @@ let load path =
 
 (* ---- append handle ---------------------------------------------------- *)
 
-type t = { oc : out_channel; lock : Mutex.t; mutable appended : int }
+type t = {
+  oc : out_channel;
+  lock : Mutex.t;
+  mutable appended : int;
+  mutable scratch : Bytes.t; (* encode buffer, reused under [lock] *)
+}
+
+let handle oc = { oc; lock = Mutex.create (); appended = 0; scratch = Bytes.create 4096 }
 
 let open_ path =
   let fresh () =
@@ -247,7 +273,7 @@ let open_ path =
       Bytes.set_int32_le b 0 (Int32.of_int version);
       output_bytes oc b;
       flush oc;
-      Ok ({ oc; lock = Mutex.create (); appended = 0 }, [], None)
+      Ok (handle oc, [], None)
     | exception Sys_error msg -> Error (Io msg)
   in
   if not (Sys.file_exists path) then fresh ()
@@ -277,17 +303,21 @@ let open_ path =
              Unix.out_channel_of_descr fd
            with
           | oc ->
-            Ok ({ oc; lock = Mutex.create (); appended = 0 }, records, defect)
+            Ok (handle oc, records, defect)
           | exception Unix.Unix_error (e, _, _) ->
             Error (Io (Unix.error_message e))))
 
 let append t r =
-  let b = encode_record r in
+  let size = 4 + payload_size r + 8 in
   Mutex.lock t.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.lock)
     (fun () ->
-      output_bytes t.oc b;
+      if Bytes.length t.scratch < size then
+        t.scratch <- Bytes.create (Stdlib.max size (2 * Bytes.length t.scratch));
+      let n = encode_into t.scratch r in
+      assert (n = size);
+      output t.oc t.scratch 0 n;
       flush t.oc;
       t.appended <- t.appended + 1)
 

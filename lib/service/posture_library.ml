@@ -27,11 +27,6 @@ type t = {
   postures : Vec.t array;
   positions : float array; (* flat, positions.(3i..3i+2) = x,y,z of posture i *)
   grid : grid;
-  mutable match_memo : (Chain.t * bool) option;
-      (* last [matches] verdict, keyed by physical chain identity: the
-         service asks about the same chain value request after request,
-         and refingerprinting it each time would put O(dof) boxed-int64
-         churn on the steady-state path (pinned allocation-free) *)
   mutable nn_best : int;
       (* nearest-neighbour scan state lives on the record, not in refs or
          closures: lookups are pinned allocation-free, and a mutable float
@@ -153,7 +148,6 @@ let build ?cell_size ?(seed = 42) ~chain ~count () =
     postures;
     positions;
     grid;
-    match_memo = None;
     nn_best = -1;
     nn_d2 = [| infinity |];
   }
@@ -165,14 +159,7 @@ let size t = Array.length t.postures
 let cell_size t = t.cell_size
 
 let matches t chain =
-  match t.match_memo with
-  | Some (c, verdict) when c == chain -> verdict
-  | _ ->
-    let verdict =
-      t.dof = Chain.dof chain && t.fingerprint = Chain.fingerprint chain
-    in
-    t.match_memo <- Some (chain, verdict);
-    verdict
+  t.dof = Chain.dof chain && t.fingerprint = Chain.fingerprint chain
 
 let check_index t i =
   if i < 0 || i >= size t then invalid_arg "Posture_library: index out of range"
@@ -442,7 +429,7 @@ let decode b =
   in
   Ok
     { chain_name; fingerprint; dof; cell_size; postures; positions; grid;
-      match_memo = None; nn_best = -1; nn_d2 = [| infinity |] }
+      nn_best = -1; nn_d2 = [| infinity |] }
 
 let load path =
   match

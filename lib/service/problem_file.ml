@@ -4,11 +4,19 @@ module Vec = Dadu_linalg.Vec
 module Vec3 = Dadu_linalg.Vec3
 module Rng = Dadu_util.Rng
 
-let robot_of_spec spec =
-  let spec = String.trim spec in
+(* the path of a [file:<path>] spec *)
+let spec_file spec =
   match String.index_opt spec ':' with
   | Some i when String.lowercase_ascii (String.sub spec 0 i) = "file" ->
-    let path = String.sub spec (i + 1) (String.length spec - i - 1) in
+    Some (String.sub spec (i + 1) (String.length spec - i - 1))
+  | Some _ | None -> None
+
+let is_file_spec spec = spec_file (String.trim spec) <> None
+
+let robot_of_spec spec =
+  let spec = String.trim spec in
+  match spec_file spec with
+  | Some path ->
     (match Chain_format.parse_file path with
     | Ok chain -> Ok chain
     | Error msg -> Error (Printf.sprintf "%s: %s" path msg))

@@ -30,7 +30,12 @@ open Dadu_kinematics
     problem the line draws. *)
 
 val robot_of_spec : string -> (Chain.t, string) result
-(** The [robot] line's spec parser, usable on its own. *)
+(** The [robot] line's spec parser, usable on its own.  Every call builds
+    a fresh chain (and a [file:] spec reads its file again). *)
+
+val is_file_spec : string -> bool
+(** Whether the spec names a description file ([file:<path>]) rather
+    than a builtin robot. *)
 
 type entry = { problem : Ik.problem; deadline_s : float option }
 

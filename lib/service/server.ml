@@ -121,6 +121,8 @@ type t = {
   journal : Journal.t option;
   mutable journal_recovery : Journal.load_error option;
       (* the defect (if any) found and cut off while opening the journal *)
+  robots : (string, Chain.t) Hashtbl.t; (* interned builtin specs *)
+  rlock : Mutex.t;
 }
 
 let tenant_of t name =
@@ -135,6 +137,42 @@ let tenant_of t name =
   in
   Mutex.unlock t.tlock;
   tn
+
+(* Builtin robot specs ([eval:30], [arm7], ...) resolve to one shared
+   chain per spec string, so repeated solve, open and journal-replay
+   requests skip rebuilding (and re-fingerprinting) it, and every request
+   for the spec carries the same physical chain — which the FK kernels'
+   compiled-constants reuse keys on.  Chains are immutable, so sharing
+   across threads and domains is safe.  [file:] specs are read on every
+   request: the file may change between requests.  The table is capped
+   so a client cycling through [eval:N] specs cannot grow it without
+   bound; past the cap specs resolve uninterned. *)
+let max_interned_robots = 64
+
+let robot_of_spec t spec =
+  if Pf.is_file_spec spec then Pf.robot_of_spec spec
+  else begin
+    Mutex.lock t.rlock;
+    let known = Hashtbl.find_opt t.robots spec in
+    Mutex.unlock t.rlock;
+    match known with
+    | Some chain -> Ok chain
+    | None ->
+      (match Pf.robot_of_spec spec with
+      | Error _ as e -> e
+      | Ok built ->
+        Mutex.lock t.rlock;
+        let chain =
+          match Hashtbl.find_opt t.robots spec with
+          | Some chain -> chain (* another reader interned it meanwhile *)
+          | None ->
+            if Hashtbl.length t.robots < max_interned_robots then
+              Hashtbl.add t.robots spec built;
+            built
+        in
+        Mutex.unlock t.rlock;
+        Ok chain)
+  end
 
 (* Rebuild the session registry from journal records: fold the per
    session lifecycle (open / commit / close) into the final state, then
@@ -158,7 +196,7 @@ let replay_journal t records =
       let ok =
         match record with
         | Journal.Opened { session; robot; chain_fp; dof = _ } ->
-          (match Pf.robot_of_spec robot with
+          (match robot_of_spec t robot with
           | Error _ -> false (* spec no longer resolves: drop the session *)
           | Ok chain ->
             if Chain.fingerprint chain = chain_fp && not (Hashtbl.mem live session)
@@ -240,6 +278,8 @@ let create ?pool ?(config = default_config) () =
       nconns = Atomic.make 0;
       journal;
       journal_recovery = recovery;
+      robots = Hashtbl.create 8;
+      rlock = Mutex.create ();
     }
   in
   if records <> [] then begin
@@ -261,13 +301,18 @@ let stop t =
 
 (* ---- reply serialization ----------------------------------------------
 
-   Reply payloads are built with Printf (%.17g doubles, %S strings), not
-   a JSON pretty-printer, so their bytes are a pure function of the reply
-   values — the `cmp` determinism gates compare these bytes across pool
-   sizes and execution modes.  Nothing clock-derived is ever included. *)
+   Reply payloads are written field by field, not by a JSON printer: the
+   doubles through [Json.add_float] ([%.17g] bytes) and strings as
+   Printf's [%S] would quote them, so the bytes are a pure function of
+   the reply values — the `cmp` determinism gates compare these bytes
+   across pool sizes and execution modes, and the journal stores them.
+   Nothing clock-derived is ever included. *)
 
-let json_floats xs =
-  String.concat "," (List.map (Printf.sprintf "%.17g") (Array.to_list xs))
+(* Printf's [%S]: the OCaml-escaped string in double quotes *)
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  Buffer.add_string buf (String.escaped s);
+  Buffer.add_char buf '"'
 
 (* mark the connection unusable and force the peer to notice: a planned
    cut or short frame must unblock a peer blocked on replies, so the
@@ -287,11 +332,12 @@ let send conn payload =
      with Sys_error _ | Unix.Unix_error _ -> conn.dead <- true);
   Mutex.unlock conn.wlock
 
+(* Closing the channel closes its descriptor; a second [Unix.close] on
+   [fd] could close a descriptor number the process has reused since. *)
 let close_conn conn =
   if not conn.closed then begin
     conn.closed <- true;
-    (try close_out_noerr conn.oc with _ -> ());
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
+    close_out_noerr conn.oc
   end
 
 (* called with wlock held *)
@@ -320,18 +366,42 @@ let reply_of job (reply : Service.reply) =
         retries;
         _;
       } ->
-    let spart =
-      match job.jsession with
-      | None -> ""
-      | Some s -> Printf.sprintf "\"session\":%S,\"ordinal\":%d," s job.jordinal
-    in
-    Printf.sprintf
-      "{\"reply\":\"solved\",\"id\":%d,%s\"status\":%S,\"solver\":%S,\"iterations\":%d,\"error\":%.17g,\"fallbacks\":%d,\"retries\":%d,\"cache_hit\":%b,\"session_hit\":%b,\"deadline_exceeded\":%b,\"theta\":[%s]}"
-      job.jid spart
-      (Format.asprintf "%a" Ik.pp_status result.Ik.status)
-      (Fallback.name solver) result.Ik.iterations result.Ik.error fallbacks
-      retries cache_hit session_hit deadline_exceeded
-      (json_floats result.Ik.theta)
+    let theta = result.Ik.theta in
+    let b = Buffer.create (320 + (24 * Array.length theta)) in
+    let field name = Buffer.add_string b name in
+    let int n = Buffer.add_string b (string_of_int n) in
+    let bool v = Buffer.add_string b (if v then "true" else "false") in
+    field "{\"reply\":\"solved\",\"id\":";
+    int job.jid;
+    (match job.jsession with
+    | None -> ()
+    | Some s ->
+      field ",\"session\":";
+      add_quoted b s;
+      field ",\"ordinal\":";
+      int job.jordinal);
+    field ",\"status\":";
+    add_quoted b (Ik.status_name result.Ik.status);
+    field ",\"solver\":";
+    add_quoted b (Fallback.name solver);
+    field ",\"iterations\":";
+    int result.Ik.iterations;
+    field ",\"error\":";
+    Json.add_float b result.Ik.error;
+    field ",\"fallbacks\":";
+    int fallbacks;
+    field ",\"retries\":";
+    int retries;
+    field ",\"cache_hit\":";
+    bool cache_hit;
+    field ",\"session_hit\":";
+    bool session_hit;
+    field ",\"deadline_exceeded\":";
+    bool deadline_exceeded;
+    field ",\"theta\":[";
+    Json.add_floats b theta;
+    field "]}";
+    Buffer.contents b
 
 (* mirror the Service's own commit-phase accounting into the tenant's
    registry; replies carry everything the event needs *)
@@ -531,7 +601,7 @@ let clamped_zero chain =
   Chain.clamp_config chain (Dadu_linalg.Vec.create (Chain.dof chain))
 
 let handle_open t conn ~id ~session ~robot =
-  match Pf.robot_of_spec robot with
+  match robot_of_spec t robot with
   | Error msg -> reply_error conn ~id msg
   | Ok chain ->
     Mutex.lock t.slock;
@@ -636,7 +706,7 @@ let handle_solve t conn ~id json =
   match Option.bind (Json.member "robot" json) Json.to_str with
   | None -> reply_error conn ~id "solve needs robot:\"<spec>\""
   | Some spec ->
-    (match Pf.robot_of_spec spec with
+    (match robot_of_spec t spec with
     | Error msg -> reply_error conn ~id msg
     | Ok chain ->
       (match (json_target json, json_theta0 json, json_deadline json) with

@@ -65,10 +65,6 @@ type t = {
   seed_select : Seed_select.t;
       (* speculative seed-selection scratch; touched only in the serial
          prepare phase *)
-  mutable fp_memo : (Chain.t * int) option;
-      (* last chain fingerprinted (physical identity): batches reuse one
-         chain value, so prepare/commit rarely rehash.  Serial phases
-         only. *)
 }
 
 let create ?pool ?(config = default_config) () =
@@ -124,18 +120,7 @@ let create ?pool ?(config = default_config) () =
               ~speculations:config.speculations ~config:ik_config ())
        else None);
     seed_select = Seed_select.create ();
-    fp_memo = None;
   }
-
-(* fingerprints are O(dof) to compute; the memo collapses that to a
-   pointer compare for the common one-chain-per-batch case *)
-let chain_fingerprint t chain =
-  match t.fp_memo with
-  | Some (c, fp) when c == chain -> fp
-  | Some _ | None ->
-    let fp = Chain.fingerprint chain in
-    t.fp_memo <- Some (chain, fp);
-    fp
 
 let config t = t.config
 
@@ -271,7 +256,7 @@ let prepare t ?budget_s ?trace (d : Scheduler.dispatch) (rq : request) =
     then lookup p false
     else begin
       let dof = Chain.dof p.Ik.chain in
-      let chain_id = chain_fingerprint t p.Ik.chain in
+      let chain_id = Chain.fingerprint p.Ik.chain in
       (* the temporal warm start: the session's previous converged
          solution.  Session requests bypass the shared seed cache
          entirely — the slot is the cache, scoped to the trajectory, so
@@ -396,7 +381,7 @@ let prepare_wave t ?budget_s ?trace requests (ds : Scheduler.dispatch array) =
           then Snap_done (lookup p false)
           else begin
             let dof = Chain.dof p.Ik.chain in
-            let chain_id = chain_fingerprint t p.Ik.chain in
+            let chain_id = Chain.fingerprint p.Ik.chain in
             (* session slot reads are safe here: the wave cut guarantees
                no earlier request of this wave writes the slot *)
             let session_seed =
@@ -569,8 +554,7 @@ let work t ?trace ?head prep =
               ~attrs:
                 [
                   ("solver", Fallback.name kind);
-                  ( "status",
-                    Format.asprintf "%a" Ik.pp_status r.Ik.status );
+                  ("status", Ik.status_name r.Ik.status);
                 ]
               ~start_s ~dur_s ())
     in
@@ -605,9 +589,7 @@ let work t ?trace ?head prep =
             ~attrs:
               [
                 ("attempt", string_of_int retry);
-                ( "status",
-                  Format.asprintf "%a" Ik.pp_status o.Fallback.result.Ik.status
-                );
+                ("status", Ik.status_name o.Fallback.result.Ik.status);
               ]
             ~start_s ~dur_s:(Trace.now_s () -. start_s) ());
         (* keep the converged (else lowest-error) outcome; the merged
@@ -616,7 +598,7 @@ let work t ?trace ?head prep =
         let keep =
           if
             o.Fallback.result.Ik.status = Ik.Converged
-            || o.Fallback.result.Ik.error < best.Fallback.result.Ik.error
+            || Fallback.better o.Fallback.result best.Fallback.result
           then o
           else best
         in
@@ -668,6 +650,15 @@ let work t ?trace ?head prep =
         latency_s;
       }
 
+(* No non-finite number leaves the service: a solved reply whose θ or
+   error is NaN or infinite (every attempt poisoned) is answered as a
+   typed fault, so it never reaches a reply frame, the journal or the
+   seed state.  Commit still feeds its trail to the breakers. *)
+let seal = function
+  | Solved { result; solver; _ } when not (Fallback.finite result) ->
+    Faulted ("non-finite result from " ^ Fallback.name solver)
+  | (Solved _ | Rejected _ | Faulted _) as reply -> reply
+
 let commit t ?trace requests i result =
   Trace.span trace ~request:i ~phase:"commit" @@ fun () ->
   (* breaker writes happen here, serially and in input order: the
@@ -690,7 +681,7 @@ let commit t ?trace requests i result =
           t.config.solvers)
       trail
   | _ -> ());
-  match result with
+  match Result.map seal result with
   | Error exn ->
     Metrics.record t.metrics (Metrics.Faulted (Printexc.to_string exn))
   | Ok (Rejected invalid) -> Metrics.record t.metrics (Metrics.Rejected invalid)
@@ -720,13 +711,13 @@ let commit t ?trace requests i result =
          independent of other traffic (DESIGN.md §15) *)
       if converged then
         Session.store sess
-          ~chain_fp:(chain_fingerprint t p.Ik.chain)
+          ~chain_fp:(Chain.fingerprint p.Ik.chain)
           result.Ik.theta;
       Session.record sess ~warm:session_hit
     | None ->
       if converged then
         Seed_cache.store t.cache
-          ~chain_id:(chain_fingerprint t p.Ik.chain)
+          ~chain_id:(Chain.fingerprint p.Ik.chain)
           ~dof:(Chain.dof p.Ik.chain)
           ~target:p.Ik.target result.Ik.theta);
     Metrics.record t.metrics
@@ -879,7 +870,7 @@ let solve_requests ?budget_s ?trace t requests =
   in
   dispatch requests
   |> Array.map (function
-       | Ok reply -> reply
+       | Ok reply -> seal reply
        | Error exn -> Faulted (Printexc.to_string exn))
 
 let solve_batch t problems =

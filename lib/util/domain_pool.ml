@@ -1,37 +1,59 @@
+(* One dispatch ([run_chunks] call).  Each generation gets its own job
+   record, counters included, and a worker drains only the job it woke
+   for.  With one shared pair of counters, a worker still inside [drain]
+   when the caller had already reset them for the next generation could
+   compare a stale chunk index against the new task count and run a chunk
+   twice, so the caller saw every task "completed" while a slot was still
+   unfilled (and could wait for good).  A stale worker now only ever
+   touches its own, exhausted, job. *)
+type job = {
+  body : int -> int -> unit; (* contiguous range [lo, hi) *)
+  items : int;
+  grain : int;
+  tasks : int; (* ceil (items / grain) *)
+  next : int Atomic.t; (* task (chunk) counter *)
+  completed : int Atomic.t; (* finished tasks *)
+}
+
 type t = {
   total_workers : int; (* including the caller *)
   mutex : Mutex.t;
   ready : Condition.t;
   finished : Condition.t;
   mutable generation : int;
-  mutable body : int -> int -> unit; (* contiguous range [lo, hi) *)
-  mutable items : int;
-  mutable grain : int;
-  mutable tasks : int; (* ceil (items / grain) *)
-  next : int Atomic.t; (* task (chunk) counter *)
-  completed : int Atomic.t; (* finished tasks *)
+  mutable job : job; (* the current generation's dispatch *)
   mutable failure : exn option;
   mutable shutting_down : bool;
   mutable domains : unit Domain.t list;
 }
 
+let idle =
+  {
+    body = (fun _ _ -> ());
+    items = 0;
+    grain = 1;
+    tasks = 0;
+    next = Atomic.make 0;
+    completed = Atomic.make 0;
+  }
+
 (* Work-stealing inner loop shared by workers and the caller: grab the next
    chunk until the range is exhausted.  Dispatch is per chunk, not per
    item, so a grained loop over n items costs ceil(n/grain) atomic
    fetches instead of n.  The last finisher signals [finished]. *)
-let drain t =
+let drain t job =
   let rec loop () =
-    let c = Atomic.fetch_and_add t.next 1 in
-    if c < t.tasks then begin
-      let lo = c * t.grain in
-      let hi = Stdlib.min t.items (lo + t.grain) in
-      (try t.body lo hi
+    let c = Atomic.fetch_and_add job.next 1 in
+    if c < job.tasks then begin
+      let lo = c * job.grain in
+      let hi = Stdlib.min job.items (lo + job.grain) in
+      (try job.body lo hi
        with exn ->
          Mutex.lock t.mutex;
          if t.failure = None then t.failure <- Some exn;
          Mutex.unlock t.mutex);
-      let done_count = 1 + Atomic.fetch_and_add t.completed 1 in
-      if done_count = t.tasks then begin
+      let done_count = 1 + Atomic.fetch_and_add job.completed 1 in
+      if done_count = job.tasks then begin
         Mutex.lock t.mutex;
         Condition.broadcast t.finished;
         Mutex.unlock t.mutex
@@ -51,8 +73,9 @@ let worker t =
     if t.shutting_down then Mutex.unlock t.mutex
     else begin
       my_generation := t.generation;
+      let job = t.job in
       Mutex.unlock t.mutex;
-      drain t;
+      drain t job;
       loop ()
     end
   in
@@ -67,12 +90,7 @@ let create n =
       ready = Condition.create ();
       finished = Condition.create ();
       generation = 0;
-      body = (fun _ _ -> ());
-      items = 0;
-      grain = 1;
-      tasks = 0;
-      next = Atomic.make 0;
-      completed = Atomic.make 0;
+      job = idle;
       failure = None;
       shutting_down = false;
       domains = [];
@@ -87,27 +105,33 @@ let run_chunks name t ~grain n body =
   if n < 0 then invalid_arg (name ^ ": negative count");
   if grain <= 0 then invalid_arg (name ^ ": grain must be positive");
   if n > 0 then begin
+    let job =
+      {
+        body;
+        items = n;
+        grain;
+        (* ceil(n/grain) without the [n + grain - 1] sum, which wraps
+           negative for grain near [max_int] and silently turned the whole
+           dispatch into a no-op (tasks < 0 → drain grabs nothing, wait
+           exits instantly). *)
+        tasks = 1 + ((n - 1) / grain);
+        next = Atomic.make 0;
+        completed = Atomic.make 0;
+      }
+    in
     Mutex.lock t.mutex;
-    t.body <- body;
-    t.items <- n;
-    t.grain <- grain;
-    (* ceil(n/grain) without the [n + grain - 1] sum, which wraps negative
-       for grain near [max_int] and silently turned the whole dispatch into
-       a no-op (tasks < 0 → drain grabs nothing, wait exits instantly). *)
-    t.tasks <- 1 + ((n - 1) / grain);
+    t.job <- job;
     t.failure <- None;
-    Atomic.set t.next 0;
-    Atomic.set t.completed 0;
     t.generation <- t.generation + 1;
     Condition.broadcast t.ready;
     Mutex.unlock t.mutex;
-    drain t;
+    drain t job;
     Mutex.lock t.mutex;
-    while Atomic.get t.completed < t.tasks do
+    while Atomic.get job.completed < job.tasks do
       Condition.wait t.finished t.mutex
     done;
     let failure = t.failure in
-    t.body <- (fun _ _ -> ());
+    t.job <- idle;
     Mutex.unlock t.mutex;
     match failure with None -> () | Some exn -> raise exn
   end

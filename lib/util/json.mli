@@ -21,6 +21,18 @@ val num : float -> t
     whole export at the end of the run ({!to_string} raises on a raw
     non-finite [Num]). *)
 
+val add_float : Buffer.t -> float -> unit
+(** [add_float buf x] appends [x] exactly as [Printf.sprintf "%.17g" x]
+    would print it, byte for byte, at a fraction of the cost.  This is the
+    repo's one [%.17g] emitter: reply frames, journalled replies and reply
+    dumps all go through it.  It does not check finiteness — NaN and
+    infinities print as C's [printf] spells them, which is not JSON, so
+    callers emitting JSON must rule them out first. *)
+
+val add_floats : Buffer.t -> float array -> unit
+(** The elements of the array through {!add_float}, separated by commas
+    (no brackets). *)
+
 val to_string : t -> string
 (** Compact serialization.  @raise Invalid_argument on NaN or infinity. *)
 

@@ -6,8 +6,10 @@
    breakers, perturbed-seed retries — and checks the contracts that must
    hold no matter what the faults do:
 
-   - every request gets a well-formed [Solved] reply (crashes are
-     contained, nothing escapes as [Faulted]);
+   - every request gets a well-formed reply: [Solved] with a finite θ
+     and error, or — when every attempt was NaN-poisoned — the typed
+     non-finite [Faulted]; crashes are contained, no other fault
+     escapes;
    - a [Converged] status is never a lie: the true FK error, recomputed
      here, is within the configured accuracy and θ is finite;
    - with a fixed fault seed, replies are byte-identical across domain
@@ -116,7 +118,8 @@ let solve_under_faults ?pool ~case n =
   (config, problems, Service.solve_batch s problems)
 
 (* Property 1: whatever the plan, every reply is a well-formed [Solved]
-   and [Converged] is FK-confirmed. *)
+   with finite numbers (or the typed non-finite fault), and [Converged]
+   is FK-confirmed. *)
 let well_formed case =
   let n = 5 in
   let config, problems, replies = solve_under_faults ~case n in
@@ -129,12 +132,16 @@ let well_formed case =
       | Service.Rejected _ ->
         QCheck.Test.fail_reportf "case %d req %d: valid problem rejected" case i
       | Service.Faulted msg ->
-        QCheck.Test.fail_reportf "case %d req %d: crash escaped containment: %s"
-          case i msg
+        if not (String.starts_with ~prefix:"non-finite result from " msg) then
+          QCheck.Test.fail_reportf
+            "case %d req %d: crash escaped containment: %s" case i msg
       | Service.Solved
           { result; trail; retries; breaker_skips; latency_s; fallbacks; _ } ->
         if trail = [] then
           QCheck.Test.fail_reportf "case %d req %d: empty trail" case i;
+        if not (Fallback.finite result) then
+          QCheck.Test.fail_reportf "case %d req %d: non-finite solved reply"
+            case i;
         if retries < 0 || retries > config.Service.retries then
           QCheck.Test.fail_reportf "case %d req %d: retries %d out of range" case
             i retries;

@@ -1044,6 +1044,46 @@ let mixed_chain seed dof =
   in
   Chain.make ~name:(Printf.sprintf "mixed-%d-%d" seed dof) links
 
+(* The algorithm [Chain.fingerprint] used before it was computed once at
+   [Chain.make], kept here as the oracle: the stored value must match it
+   bit for bit for any chain, base and tool (files store it). *)
+let reference_fingerprint chain =
+  let h = ref 0xcbf29ce484222325L in
+  let mix_int64 x =
+    for shift = 0 to 7 do
+      let byte = Int64.to_int (Int64.shift_right_logical x (shift * 8)) land 0xff in
+      h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) 0x100000001b3L
+    done
+  in
+  let mix_float x = mix_int64 (Int64.bits_of_float x) in
+  mix_int64 (Int64.of_int (Chain.dof chain));
+  Array.iter
+    (fun { Chain.joint; dh; _ } ->
+      mix_int64 (match joint.Joint.kind with Joint.Revolute -> 1L | Joint.Prismatic -> 2L);
+      mix_float joint.Joint.lower;
+      mix_float joint.Joint.upper;
+      mix_float dh.Dh.a;
+      mix_float dh.Dh.alpha;
+      mix_float dh.Dh.d;
+      mix_float dh.Dh.theta)
+    (Chain.links chain);
+  Array.iter mix_float (Chain.base chain);
+  Array.iter mix_float (Chain.tool chain);
+  Int64.to_int !h land max_int
+
+let test_chain_fingerprint_oracle =
+  QCheck.Test.make ~name:"stored fingerprint == reference algorithm" ~count:200
+    QCheck.(triple small_nat (int_range 1 60) (triple float float float))
+    (fun (seed, dof, (x, y, z)) ->
+      let links = Chain.links (mixed_chain seed dof) in
+      let finite v = if Float.is_finite v then v else 0. in
+      let base = Mat4.translation (Vec3.make (finite x) (finite y) (finite z)) in
+      let tool = Mat4.translation (Vec3.make (finite z) 0.25 (finite x)) in
+      let chain = Chain.make ~base ~tool links in
+      Chain.fingerprint chain = reference_fingerprint chain
+      && Chain.fingerprint (Chain.make links)
+         = reference_fingerprint (Chain.make links))
+
 let mixed_config seed chain =
   let rng = Rng.create (seed + 1) in
   Array.init (Chain.dof chain) (fun i ->
@@ -1450,6 +1490,7 @@ let () =
           Alcotest.test_case "base copied" `Quick test_chain_base_tool_copied;
           Alcotest.test_case "fingerprint pinned" `Quick
             test_chain_fingerprint_pinned;
+          qcheck test_chain_fingerprint_oracle;
         ] );
       ( "fk",
         [

@@ -250,6 +250,59 @@ let test_live_session_happy_path () =
   Alcotest.(check (option int)) "accepted waypoints" (Some 5)
     (int_member "waypoints" closed)
 
+(* Connection churn: four clients close and reopen connections as fast as
+   they can against one in-process server, so descriptor numbers are
+   reused at once.  The server used to close each connection's descriptor
+   twice (through the channel, then again by number); the second close
+   could hit a descriptor just handed to a new connection — the server's
+   or, in process, a client's — and that request went unanswered.  A
+   receive timeout turns a lost reply into a failure instead of a hang. *)
+let test_live_connection_churn () =
+  with_server @@ fun _server path ->
+  let failures = ref [] in
+  let flock = Mutex.create () in
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Mutex.lock flock;
+        failures := msg :: !failures;
+        Mutex.unlock flock)
+      fmt
+  in
+  let client k () =
+    for i = 1 to 300 do
+      let fd, ic, oc = connect path in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      (try
+         send oc "{\"op\":\"ping\"}";
+         (match Problem_file.read_frame ic with
+         | Ok (Some "{\"reply\":\"pong\"}") -> ()
+         | Ok (Some other) -> fail "client %d round %d: ping got %s" k i other
+         | Ok None -> fail "client %d round %d: ping unanswered (EOF)" k i
+         | Error msg -> fail "client %d round %d: %s" k i msg);
+         if k land 1 = 1 then begin
+           send oc
+             (Printf.sprintf
+                "{\"op\":\"solve\",\"id\":%d,\"robot\":\"eval:12\",\"target\":[3.0,1.0,1.0]}"
+                i);
+           match Problem_file.read_frame ic with
+           | Ok (Some reply) when Astring.String.is_infix ~affix:"\"solved\"" reply
+             -> ()
+           | Ok (Some other) -> fail "client %d round %d: solve got %s" k i other
+           | Ok None -> fail "client %d round %d: solve unanswered (EOF)" k i
+           | Error msg -> fail "client %d round %d: %s" k i msg
+         end
+       with
+      | Sys_error msg | Failure msg -> fail "client %d round %d: %s" k i msg
+      | Unix.Unix_error (e, _, _) ->
+        fail "client %d round %d: %s" k i (Unix.error_message e));
+      try Unix.close fd with Unix.Unix_error _ -> ()
+    done
+  in
+  let threads = List.map (fun k -> Thread.create (client k) ()) [ 0; 1; 2; 3 ] in
+  List.iter Thread.join threads;
+  Alcotest.(check (list string)) "every request answered" [] !failures
+
 let test_live_malformed_payload_keeps_connection () =
   with_server @@ fun _server path ->
   let fd, ic, oc = connect path in
@@ -639,6 +692,8 @@ let () =
       ( "live",
         [
           Alcotest.test_case "session happy path" `Slow test_live_session_happy_path;
+          Alcotest.test_case "connection churn answers every request" `Slow
+            test_live_connection_churn;
           Alcotest.test_case "malformed payload keeps connection" `Slow
             test_live_malformed_payload_keeps_connection;
           Alcotest.test_case "queue full sheds" `Slow test_live_queue_full_sheds;

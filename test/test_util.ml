@@ -508,6 +508,43 @@ let test_pool_chunk_adversarial () =
         (pool_chunk_partition ~pool 0 grain))
     [ 1; max_int ]
 
+(* Back-to-back tiny generations: the window in which a worker is still
+   inside the previous generation's drain while the caller starts the
+   next one is widest when each generation has only a few chunks.  A
+   stale worker used to read its exhausted chunk index against the new
+   generation's task count and run a chunk twice, so a map slot stayed
+   empty ([assert false] in [map]) or the caller waited for good. *)
+let test_pool_generation_race () =
+  List.iter
+    (fun size ->
+      let pool = Pool.create size in
+      Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+      for round = 1 to 20_000 do
+        let n = 1 + (round mod 8) in
+        let hits = Array.init n (fun _ -> Atomic.make 0) in
+        let squares =
+          Pool.map pool
+            (fun i ->
+              Atomic.incr hits.(i);
+              (* a little work, so workers join before the caller has
+                 drained every chunk itself *)
+              let acc = ref 0 in
+              for k = 1 to 4000 * (1 + ((i + round) mod 3)) do
+                acc := Sys.opaque_identity (!acc + k)
+              done;
+              ignore (Sys.opaque_identity !acc);
+              i * i)
+            n
+        in
+        Array.iteri
+          (fun i h ->
+            if Atomic.get h <> 1 || squares.(i) <> i * i then
+              Alcotest.failf "pool %d round %d: slot %d ran %d times" size
+                round i (Atomic.get h))
+          hits
+      done)
+    [ 2; 4 ]
+
 let test_pool_chunk_partition_property =
   QCheck.Test.make ~name:"chunks partition [0,n) for adversarial grains"
     ~count:50
@@ -707,6 +744,52 @@ let test_json_roundtrip_property =
   QCheck.Test.make ~name:"Json to_string |> of_string round-trips" ~count:200
     json_value_gen
     (fun v -> Json.of_string (Json.to_string v) = Ok v)
+
+(* [Json.add_float] must print exactly what [Printf.sprintf "%.17g"]
+   prints: reply frames, journals and reply dumps switched to it with the
+   `cmp` gates unchanged.  Doubles are drawn as raw bit patterns (every
+   exponent, NaN payloads and infinities included) and from the edge
+   families: signed zeros, subnormals, powers of ten and their
+   one-ulp neighbours. *)
+let float_edge_gen =
+  let open QCheck.Gen in
+  let subnormal =
+    map (fun k -> Float.ldexp (float_of_int k) (-1074)) (int_range 1 ((1 lsl 52) - 1))
+  in
+  let pow10 =
+    map2
+      (fun e step ->
+        let x = Float.pow 10. (float_of_int e) in
+        match step with 0 -> Float.pred x | 1 -> x | _ -> Float.succ x)
+      (int_range (-330) 310) (int_range 0 2)
+  in
+  let signed g = map2 (fun x neg -> if neg then -.x else x) g bool in
+  oneof
+    [
+      map Int64.float_of_bits ui64;
+      signed (oneofl [ 0.; Float.min_float; Float.max_float; Float.epsilon ]);
+      signed subnormal;
+      signed pow10;
+      signed (float_range 0. 10.);
+    ]
+
+let test_json_add_float_matches_printf =
+  QCheck.Test.make ~name:"Json.add_float == Printf %.17g" ~count:5000
+    (QCheck.make ~print:(fun x -> Printf.sprintf "%h" x) float_edge_gen)
+    (fun x ->
+      let b = Buffer.create 32 in
+      Json.add_float b x;
+      Buffer.contents b = Printf.sprintf "%.17g" x)
+
+let test_json_add_floats_separators () =
+  let b = Buffer.create 64 in
+  Json.add_floats b [||];
+  Alcotest.(check string) "empty" "" (Buffer.contents b);
+  let xs = [| 0.1; -0.; 1e300; 5e-324; 3. |] in
+  Json.add_floats b xs;
+  Alcotest.(check string) "comma-separated %.17g"
+    (String.concat "," (List.map (Printf.sprintf "%.17g") (Array.to_list xs)))
+    (Buffer.contents b)
 
 (* ---- Trace (monotone clock + span recorder) ---- *)
 
@@ -936,6 +1019,9 @@ let () =
           Alcotest.test_case "num degrades non-finite to null" `Quick
             test_json_num_nonfinite;
           qcheck test_json_roundtrip_property;
+          qcheck test_json_add_float_matches_printf;
+          Alcotest.test_case "add_floats separators" `Quick
+            test_json_add_floats_separators;
         ] );
       ( "fault",
         [
@@ -1032,6 +1118,8 @@ let () =
           Alcotest.test_case "adversarial grains" `Quick
             test_pool_chunk_adversarial;
           qcheck test_pool_chunk_partition_property;
+          Alcotest.test_case "back-to-back tiny generations" `Quick
+            test_pool_generation_race;
         ] );
       ( "histogram",
         [
