@@ -75,8 +75,8 @@ let finite (r : Ik.result) =
 
 (* A strict total order on kept attempts: lower error wins, and a result
    with a non-finite error or θ ranks below every finite one.  A plain
-   [<] on errors is false both ways against NaN, so a poisoned first
-   attempt was never displaced. *)
+   [<] on errors is false both ways against NaN and would never displace
+   a poisoned first attempt. *)
 let better a b =
   if finite b then finite a && a.Ik.error < b.Ik.error else finite a
 

@@ -453,7 +453,7 @@ let deliver t job reply =
     let theta =
       match reply with
       | Service.Solved { result; _ } when result.Ik.status = Ik.Converged ->
-        Some (Array.copy result.Ik.theta)
+        Some result.Ik.theta
       | _ -> None
     in
     (match t.journal with

@@ -1,11 +1,10 @@
 (* One dispatch ([run_chunks] call).  Each generation gets its own job
    record, counters included, and a worker drains only the job it woke
-   for.  With one shared pair of counters, a worker still inside [drain]
-   when the caller had already reset them for the next generation could
-   compare a stale chunk index against the new task count and run a chunk
-   twice, so the caller saw every task "completed" while a slot was still
-   unfilled (and could wait for good).  A stale worker now only ever
-   touches its own, exhausted, job. *)
+   for: a worker still inside [drain] when the caller starts the next
+   generation then touches only its own exhausted counters.  Shared
+   counters reset in place would let it read a stale chunk index against
+   the new task count and run a chunk twice, so the caller could count
+   every task done while a slot was still unfilled, or wait for good. *)
 type job = {
   body : int -> int -> unit; (* contiguous range [lo, hi) *)
   items : int;

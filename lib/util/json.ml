@@ -33,8 +33,8 @@ let escape_string buf s =
 
 (* The C primitive behind Printf's %f/%e/%g conversions.  Printf builds
    the format string and calls this with it, so calling it directly with
-   "%.17g" gives Printf's bytes exactly, without its format interpreter
-   (about 60% of the time and a sixth of the allocation per float). *)
+   "%.17g" gives Printf's bytes exactly, without the cost of its format
+   interpreter. *)
 external format_float : string -> float -> string = "caml_format_float"
 
 let add_float buf x = Buffer.add_string buf (format_float "%.17g" x)
